@@ -23,12 +23,19 @@ throughput when enabled and leave assignments bit-identical, and the
 per-phase timing histograms they populate are emitted into
 ``BENCH_observability.json``.
 
-Experiment NK measures the compiled frontier kernel
-(:mod:`repro.bfs._kernel`) against the pure-numpy hot path: on a ~1M-edge
-graph the native kernel must cut single-request latency by at least 5x,
-while every registered unweighted method stays digest-identical across
-``kernel="python"`` and ``kernel="native"``.  Skipped when the extension
-is not built (a compiler-less install is a supported configuration).
+Experiment NK measures the compiled BFS kernel (:mod:`repro.bfs._kernel`)
+against the pure-numpy path on two shapes, each as a whole request
+(``decompose()``) and as the shifted BFS alone: a ~1M-edge dense graph,
+where big rounds dominate and the native kernel must cut single-request
+latency by at least 5x, and the 400x400 grid at beta=0.02, where ~250
+small rounds dominate and the kernel's BFS must be at least 4x faster
+(shift sampling and result assembly, the same on both paths, are a large
+share of a grid request).  Every row reports ns per arc of Theorem 1.2
+``work``, so the shapes compare on one scale; the grid-within-2x-of-dense
+BFS ratio is reported, not asserted.  Every registered unweighted method
+stays digest-identical across ``kernel="python"`` and ``kernel="native"``.
+Skipped when the extension is not built (a compiler-less install is a
+supported configuration).
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.bfs.delayed import delayed_multisource_bfs
 from repro.bfs.kernels import native_available
 from repro.core import decompose
 from repro.core.registry import method_names
-from repro.graphs.generators import erdos_renyi
+from repro.core.shifts import sample_shifts
+from repro.graphs.generators import erdos_renyi, grid_2d
 from repro.runtime.throughput import _digest, measure_throughput
 from repro.telemetry import metrics as _metrics
 
@@ -231,30 +241,45 @@ def test_observability_overhead():
     )
 
 
-def _nk_workload():
-    """(graph, beta, repeats) for the kernel-latency comparison.
+#: (graph, level) -> floor on the numpy/native latency ratio, asserted in
+#: full mode only.  ``request`` is a whole ``decompose()``; ``bfs`` is the
+#: shifted BFS alone on the request's shifts, the part the kernel runs
+#: (shift sampling and result assembly cost both paths the same).
+NK_FLOORS = {("dense", "request"): 5.0, ("grid", "bfs"): 4.0}
 
-    Full mode uses a dense ~1M-edge Erdos-Renyi graph: big rounds are where
-    the numpy path pays its per-arc multi-pass cost (repeat/cumsum gathers,
-    ``ufunc.at`` priority writes) and where the single fused C sweep shows
-    its constant-factor headroom.  Smoke mode only path-exercises.
+
+def _nk_workloads():
+    """name -> (graph, beta, repeats) for the kernel-latency comparison.
+
+    ``dense`` is a ~1M-edge Erdos-Renyi graph: few big rounds, where the
+    numpy path pays its per-arc multi-pass cost.  ``grid`` is the 400x400
+    grid at beta=0.02 (the ``grid-cold`` serving workload): ~250 small
+    rounds, where the numpy path pays per-round interpreter overhead and
+    a wake-schedule sort.  Smoke mode only path-exercises.
     """
     if _smoke():
-        return erdos_renyi(400, 0.05, seed=7), 0.3, 2
-    return erdos_renyi(8000, 0.0329, seed=7), 0.3, 5
+        return {
+            "dense": (erdos_renyi(400, 0.05, seed=7), 0.3, 2),
+            "grid": (grid_2d(40, 40), 0.02, 2),
+        }
+    return {
+        "dense": (erdos_renyi(8000, 0.0329, seed=7), 0.3, 5),
+        "grid": (grid_2d(400, 400), 0.02, 9),
+    }
 
 
-def _best_latency(graph, beta, kernel, repeats):
+def _best_latency(repeats, fn):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = decompose(graph, beta, seed=1, kernel=kernel)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best, out
 
 
 def test_native_kernel_latency():
-    """Experiment NK — the compiled kernel is >= 5x, and changes nothing."""
+    """Experiment NK — the compiled kernel clears its floors, and changes
+    nothing."""
     if not native_available():
         pytest.skip("compiled kernel repro.bfs._kernel not built")
 
@@ -276,43 +301,87 @@ def test_native_kernel_latency():
             )
             sweep[f"{method}/seed{seed}"] = digest["python"]
 
-    graph, beta, repeats = _nk_workload()
-    python_s, python_res = _best_latency(graph, beta, "python", repeats)
-    native_s, native_res = _best_latency(graph, beta, "native", repeats)
-    assert _digest([python_res]) == _digest([native_res]), (
-        "kernels disagree on the benchmark graph: determinism bug"
-    )
-    speedup = python_s / native_s
-
     table = Table(
-        f"NK: single-request latency, n={graph.num_vertices} "
-        f"m={graph.num_edges} beta={beta} best-of-{repeats}",
-        ["kernel", "seconds", "req_per_s", "speedup"],
+        "NK: latency best-of-N, ns per arc of Theorem 1.2 work",
+        ["graph", "level", "kernel", "seconds", "ns_per_arc", "speedup"],
     )
-    table.add("python", python_s, 1.0 / python_s, 1.0)
-    table.add("native", native_s, 1.0 / native_s, speedup)
+    rows = {}
+    for name, (graph, beta, repeats) in _nk_workloads().items():
+        shifts = sample_shifts(graph.num_vertices, beta, seed=1)
+        levels = {
+            # level -> (JSON key prefix, run one kernel, work of a result)
+            "request": (
+                "",
+                lambda k: decompose(graph, beta, seed=1, kernel=k),
+                lambda r: r.trace.work,
+            ),
+            "bfs": (
+                "bfs_",
+                lambda k: delayed_multisource_bfs(
+                    graph, shifts.start_time, tie_key=shifts.tie_key, kernel=k
+                ),
+                lambda r: r.work,
+            ),
+        }
+        row = rows[name] = {
+            "n": graph.num_vertices, "m": graph.num_edges, "beta": beta,
+        }
+        for level, (prefix, run, work_of) in levels.items():
+            seconds, results = {}, {}
+            for kernel in ("python", "native"):
+                seconds[kernel], results[kernel] = _best_latency(
+                    repeats, lambda: run(kernel)
+                )
+            python, native = results["python"], results["native"]
+            if level == "request":
+                same = _digest([python]) == _digest([native])
+            else:
+                same = np.array_equal(python.center, native.center) and (
+                    np.array_equal(python.hops, native.hops)
+                )
+            assert same, f"kernels disagree on {name}/{level}: determinism bug"
+            work = work_of(native)
+            assert work_of(python) == work, (name, level)
+            row[f"{prefix}work"] = work
+            row[f"{prefix}speedup"] = seconds["python"] / seconds["native"]
+            for kernel in ("python", "native"):
+                ns_per_arc = seconds[kernel] * 1e9 / work
+                row[f"{prefix}{kernel}_latency_s"] = seconds[kernel]
+                row[f"{prefix}{kernel}_ns_per_arc"] = ns_per_arc
+                table.add(
+                    name, level, kernel, seconds[kernel], ns_per_arc,
+                    row[f"{prefix}speedup"] if kernel == "native" else 1.0,
+                )
     table.show()
+    grid_over_dense = (
+        rows["grid"]["bfs_native_ns_per_arc"]
+        / rows["dense"]["bfs_native_ns_per_arc"]
+    )
+    print(
+        f"NK: grid native BFS ns/arc is {grid_over_dense:.2f}x dense "
+        f"(target within 2x; reported, not asserted)"
+    )
 
     emit_bench_json(
         "native_kernel",
         {
             "native_kernel": {
-                "n": graph.num_vertices,
-                "m": graph.num_edges,
-                "beta": beta,
-                "python_latency_s": python_s,
-                "native_latency_s": native_s,
-                "speedup": speedup,
+                **rows["dense"],
+                "grid": rows["grid"],
+                "grid_over_dense_bfs_ns_per_arc": grid_over_dense,
                 "methods_digest_checked": len(sweep),
             }
         },
     )
 
     if not _smoke():
-        assert graph.num_edges >= 1_000_000
-        assert speedup >= 5.0, (
-            f"native kernel only {speedup:.2f}x over the numpy path"
-        )
+        assert rows["dense"]["m"] >= 1_000_000
+        for (name, level), floor in NK_FLOORS.items():
+            key = "speedup" if level == "request" else "bfs_speedup"
+            assert rows[name][key] >= floor, (
+                f"native kernel only {rows[name][key]:.2f}x over the numpy "
+                f"path on {name}/{level} (floor {floor}x)"
+            )
 
 
 if __name__ == "__main__":

@@ -25,12 +25,13 @@ Given the same shifts, the result provably equals the exact shifted-shortest-
 path assignment computed by :mod:`repro.bfs.dijkstra` — a property the test
 suite checks exhaustively.
 
-Two interchangeable hot-path engines implement the per-round gather/resolve
-phases: the pure-numpy reference and the compiled :mod:`repro.bfs._kernel`
-extension, selected via ``kernel=`` (see :mod:`repro.bfs.kernels`).  They
-are bit-identical — same winners in the same order every round — so the
-switch is purely a performance knob; the differential conformance suite
-pins the equivalence.
+Two interchangeable engines run the rounds, selected via ``kernel=`` (see
+:mod:`repro.bfs.kernels`): the pure-numpy reference, one vectorised
+gather/resolve pass per round, and the compiled :mod:`repro.bfs._kernel`
+extension, which runs the whole round loop in one call.  Their
+:class:`DelayedBFSResult` is identical field for field, so the switch is
+purely a performance knob; the differential conformance suite pins the
+equivalence.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from repro.bfs.kernels import KernelScratch, native_module, resolve_kernel
 
 __all__ = ["DelayedBFSResult", "delayed_multisource_bfs", "resolve_claims"]
 
-_NO_CENTER = np.iinfo(np.int64).max
+_NO_CENTER = _INT64_MAX = np.iinfo(np.int64).max
+#: Start times at or above this would overflow the int64 round counter.
+_MAX_START = 2.0**62
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +257,16 @@ def delayed_multisource_bfs(
         raise ParameterError("start_time must have one entry per vertex")
     # NaN slips past a plain `min() < 0` check (NaN comparisons are False)
     # and would poison round scheduling and claim resolution downstream.
-    if n and not (np.isfinite(start_time).all() and start_time.min() >= 0):
-        raise ParameterError("start times must be finite and non-negative")
-    floor_start = np.floor(start_time).astype(np.int64)
+    if n and not (
+        np.isfinite(start_time).all()
+        and start_time.min() >= 0
+        and start_time.max() < _MAX_START
+    ):
+        raise ParameterError(
+            "start times must be finite, non-negative and below 2**62"
+        )
+    # Truncation is the floor here: start times were checked non-negative.
+    floor_start = start_time.astype(np.int64)
     if tie_key is None:
         tie_key = start_time - floor_start
     else:
@@ -266,18 +276,16 @@ def delayed_multisource_bfs(
         if n and not np.isfinite(tie_key).all():
             raise ParameterError("tie keys must be finite")
     if center_mask is not None:
-        center_mask = np.asarray(center_mask, dtype=bool)
+        center_mask = np.ascontiguousarray(center_mask, dtype=bool)
         if center_mask.shape[0] != n:
             raise ParameterError("center_mask must have one entry per vertex")
         if not center_mask.any():
             raise ParameterError("center_mask must allow at least one center")
 
-    center = np.full(n, -1, dtype=np.int64)
-    round_claimed = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return DelayedBFSResult(
-            center=center,
-            round_claimed=round_claimed,
+            center=np.full(0, -1, dtype=np.int64),
+            round_claimed=np.full(0, -1, dtype=np.int64),
             hops=np.zeros(0, dtype=np.int64),
             num_rounds=0,
             active_rounds=0,
@@ -285,6 +293,55 @@ def delayed_multisource_bfs(
             frontier_sizes=[],
         )
 
+    # Phase timing is decided once per BFS, not per round: when telemetry
+    # is off the loop takes zero clock readings.
+    timed = telemetry.enabled()
+    rounds = _native_rounds if mode == "native" else _numpy_rounds
+    return rounds(graph, floor_start, tie_key, center_mask, max_round, timed)
+
+
+def _native_rounds(graph, floor_start, tie_key, center_mask, max_round, timed):
+    """The whole BFS as one call into the compiled kernel."""
+    n = graph.num_vertices
+    center, round_claimed, hops, sizes = (
+        np.empty(n, dtype=np.int64) for _ in range(4)
+    )
+    phases = np.zeros(2) if timed else None
+    # Any cap below 0 runs no round, like -1; clamping keeps it an int64.
+    limit = _INT64_MAX if max_round is None else max(-1, int(max_round))
+    num_rounds, active, work = native_module().delayed_bfs(
+        graph.indptr,
+        graph.indices,
+        floor_start,
+        tie_key,
+        center_mask,
+        min(limit, _INT64_MAX),
+        center,
+        round_claimed,
+        hops,
+        sizes,
+        phases,
+    )
+    return DelayedBFSResult(
+        center=center,
+        round_claimed=round_claimed,
+        hops=hops,
+        num_rounds=num_rounds,
+        active_rounds=active,
+        work=work,
+        frontier_sizes=sizes[:active].tolist(),
+        phase_seconds=(
+            {"gather": float(phases[0]), "resolve": float(phases[1])}
+            if timed else {}
+        ),
+    )
+
+
+def _numpy_rounds(graph, floor_start, tie_key, center_mask, max_round, timed):
+    """The reference round loop: numpy gather and claim resolution."""
+    n = graph.num_vertices
+    center = np.full(n, -1, dtype=np.int64)
+    round_claimed = np.full(n, -1, dtype=np.int64)
     # Wake schedule: eligible vertices sorted by waking round, consumed by a
     # pointer as rounds advance.
     eligible = (
@@ -299,7 +356,6 @@ def delayed_multisource_bfs(
     n_wake = int(wake_order.shape[0])
     ptr = 0
 
-    native = native_module() if mode == "native" else None
     scratch = KernelScratch(n)
     frontier = np.zeros(0, dtype=VERTEX_DTYPE)
     frontier_sizes: list[int] = []
@@ -309,9 +365,6 @@ def delayed_multisource_bfs(
     last_round = t
     active = 0
     limit = np.inf if max_round is None else int(max_round)
-    # Phase timing is decided once per BFS, not per round: when telemetry
-    # is off the loop takes zero clock readings.
-    timed = telemetry.enabled()
     gather_s = resolve_s = 0.0
 
     while t <= limit:
@@ -321,83 +374,45 @@ def delayed_multisource_bfs(
         wake_hi = int(np.searchsorted(wake_rounds_sorted, t, side="right"))
         waking = wake_order[ptr:wake_hi]
         ptr = wake_hi
+        waking = waking[center[waking] == -1]
+        work += int(waking.size)
 
-        if native is not None:
-            # Fused gather + CRCW bid pass: wake-ups, frontier arc expansion,
-            # and the priority write happen in one C sweep over the scratch.
-            n_touched, arcs, wake_bids = native.scatter_bids(
-                graph.indptr,
-                graph.indices,
-                frontier,
-                waking,
-                center,
-                tie_key,
-                scratch.best_key,
-                scratch.best_center,
-                scratch.touched,
-            )
-            work += int(wake_bids) + int(arcs)
-            if timed:
-                phase_t1 = time.perf_counter()
-                gather_s += phase_t1 - phase_t0
-            if n_touched:
-                claimed_count = native.commit_winners(
-                    scratch.touched,
-                    n_touched,
-                    scratch.best_key,
-                    scratch.best_center,
-                    center,
-                    round_claimed,
-                    t,
-                    scratch.winners,
-                )
-                if timed:
-                    resolve_s += time.perf_counter() - phase_t1
-                # A view is safe: the next round reads it in scatter_bids
-                # before commit_winners overwrites the buffer.
-                frontier = scratch.winners[:claimed_count]
-            else:
-                claimed_count = 0
+        # ---- gather propagation bids from the previous winners --------------
+        if frontier.size:
+            arc_src, arc_dst = gather_frontier_arcs(graph, frontier)
+            work += int(arc_src.size)
+            open_mask = center[arc_dst] == -1
+            prop_v = arc_dst[open_mask]
+            prop_c = center[arc_src[open_mask]]
         else:
-            waking = waking[center[waking] == -1]
-            work += int(waking.size)
+            prop_v = np.zeros(0, dtype=VERTEX_DTYPE)
+            prop_c = np.zeros(0, dtype=np.int64)
 
-            # ---- gather propagation bids from the previous winners ----------
-            if frontier.size:
-                arc_src, arc_dst = gather_frontier_arcs(graph, frontier)
-                work += int(arc_src.size)
-                open_mask = center[arc_dst] == -1
-                prop_v = arc_dst[open_mask]
-                prop_c = center[arc_src[open_mask]]
-            else:
-                prop_v = np.zeros(0, dtype=VERTEX_DTYPE)
-                prop_c = np.zeros(0, dtype=np.int64)
+        cand_v = np.concatenate([waking, prop_v])
+        cand_c = np.concatenate([waking.astype(np.int64), prop_c])
+        if timed:
+            phase_t1 = time.perf_counter()
+            gather_s += phase_t1 - phase_t0
 
-            cand_v = np.concatenate([waking, prop_v])
-            cand_c = np.concatenate([waking.astype(np.int64), prop_c])
+        claimed_count = 0
+        if cand_v.size:
+            winners, owners = resolve_claims(
+                cand_v,
+                cand_c,
+                tie_key,
+                num_vertices=n,
+                kernel="python",
+                scratch=scratch,
+            )
             if timed:
-                phase_t1 = time.perf_counter()
-                gather_s += phase_t1 - phase_t0
-
-            claimed_count = 0
-            if cand_v.size:
-                winners, owners = resolve_claims(
-                    cand_v,
-                    cand_c,
-                    tie_key,
-                    num_vertices=n,
-                    kernel="python",
-                    scratch=scratch,
-                )
-                if timed:
-                    resolve_s += time.perf_counter() - phase_t1
-                center[winners] = owners
-                round_claimed[winners] = t
-                frontier = winners.astype(VERTEX_DTYPE)
-                claimed_count = int(winners.size)
+                resolve_s += time.perf_counter() - phase_t1
+            center[winners] = owners
+            round_claimed[winners] = t
+            frontier = winners.astype(VERTEX_DTYPE)
+            claimed_count = int(winners.size)
 
         if claimed_count:
-            frontier_sizes.append(int(claimed_count))
+            frontier_sizes.append(claimed_count)
             active += 1
             last_round = t
             t += 1

@@ -1,18 +1,20 @@
 """Kernel selection for the shifted-BFS hot path.
 
 The delayed-start BFS in :mod:`repro.bfs.delayed` has two interchangeable
-engines for its per-round hot phases (frontier arc gathering and the CRCW
+engines for its round loop (wake-ups, frontier arc gathering and the CRCW
 claim-resolution priority write):
 
-- ``"python"`` — the pure-numpy reference implementation;
-- ``"native"`` — the compiled C extension :mod:`repro.bfs._kernel`, built
-  optionally at install time (``python setup.py build_ext --inplace``; the
-  build is skipped silently when no compiler is available);
+- ``"python"`` — the pure-numpy reference implementation, one vectorised
+  pass per round;
+- ``"native"`` — the compiled C extension :mod:`repro.bfs._kernel`, one
+  call per BFS, built optionally at install time (``python setup.py
+  build_ext --inplace``; the build is skipped silently when no compiler is
+  available);
 - ``"auto"`` — the native kernel when the extension imported, the numpy
   path otherwise.  This is the default everywhere.
 
-Both engines are pinned bit-identical by the differential conformance
-suite, so the switch is purely a performance knob.  Selection flows
+Both engines return the same result field for field, pinned by the
+differential conformance suite, so the switch is purely a performance knob.  Selection flows
 through a :class:`contextvars.ContextVar` so the engine layer can apply a
 per-request choice (``decompose(..., options={"kernel": ...})``) without
 threading a parameter through every BFS call site; worker processes
@@ -116,15 +118,15 @@ def use_kernel(kernel: str | None) -> Iterator[str]:
 
 
 class KernelScratch:
-    """Reusable per-round scratch for claim resolution.
+    """Reusable scratch for :func:`repro.bfs.delayed.resolve_claims`.
 
     The scatter paths (numpy and native) need per-vertex ``best_key`` /
     ``best_center`` priority-write arrays.  Allocating them fresh every
-    round costs three O(n) allocations per round; this object allocates
-    once per BFS and both paths restore the *pristine invariant* — every
-    ``best_key`` entry ``+inf``, every ``best_center`` entry the
-    ``int64 max`` no-bid sentinel — after each use, touching only the
-    entries the round actually wrote.
+    round costs three O(n) allocations per round; the numpy BFS allocates
+    this object once per BFS and both paths restore the *pristine
+    invariant* — every ``best_key`` entry ``+inf``, every ``best_center``
+    entry the ``int64 max`` no-bid sentinel — after each use, touching only
+    the entries the round actually wrote.
     """
 
     __slots__ = (

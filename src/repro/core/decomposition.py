@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ops import cut_edge_mask
+from repro.graphs.ops import count_cut_edges, cut_edge_mask
 
 __all__ = ["Decomposition", "PartitionTrace"]
 
@@ -57,12 +57,17 @@ class Decomposition:
                 raise GraphError("centers must be fixed points of the map")
             if hops.min() < 0:
                 raise GraphError("hops must be non-negative")
-            if np.any(hops[center[np.arange(n)] == np.arange(n)] != 0):
-                raise GraphError("centers must have hop distance 0")
+        is_center = center == np.arange(n)
+        if np.any(hops[is_center] != 0):
+            raise GraphError("centers must have hop distance 0")
         center.setflags(write=False)
         hops.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "hops", hops)
+        # Every center value is a fixed point and every fixed point is its
+        # own center, so the fixed points, ascending, are the distinct
+        # centers — no sort needed.
+        self._cache["centers"] = np.flatnonzero(is_center)
 
     # ------------------------------------------------------------------
     # label form
@@ -70,8 +75,6 @@ class Decomposition:
     @property
     def centers(self) -> np.ndarray:
         """Sorted array of distinct center vertex ids (one per piece)."""
-        if "centers" not in self._cache:
-            self._cache["centers"] = np.unique(self.center)
         return self._cache["centers"]
 
     @property
@@ -122,7 +125,11 @@ class Decomposition:
 
     def num_cut_edges(self) -> int:
         """Number of edges with endpoints in different pieces."""
-        return int(self.cut_mask().sum())
+        if "num_cut_edges" not in self._cache:
+            self._cache["num_cut_edges"] = count_cut_edges(
+                self.graph, self.center
+            )
+        return self._cache["num_cut_edges"]
 
     def cut_fraction(self) -> float:
         """``cut edges / m`` — the β-side of Definition 1.1 (0 if no edges)."""

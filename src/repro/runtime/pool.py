@@ -36,6 +36,7 @@ import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 
 from repro.bfs.kernels import native_available
 from repro.core.decomposition import Decomposition
@@ -277,6 +278,10 @@ class DecompositionPool:
         self._submitted = 0
         self._completed = 0
         self._failed = 0
+        # Start the shared-memory resource tracker with the pool, not at
+        # the first segment created: its interpreter start-up then costs
+        # pool set-up time rather than CPU under the first upload served.
+        resource_tracker.ensure_running()
         try:
             for key, graph in self._graphs.items():
                 self._shared[key] = _share_backing(graph)

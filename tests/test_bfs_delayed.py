@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.bfs.delayed import delayed_multisource_bfs, resolve_claims
 from repro.bfs.dijkstra import shifted_integer_dijkstra
+from repro.bfs.kernels import native_available
 from repro.graphs.build import from_edges
 from repro.graphs.generators import (
     cycle_graph,
@@ -15,6 +16,18 @@ from repro.graphs.generators import (
     grid_2d,
     path_graph,
 )
+
+#: Both BFS engines, the native one only where the extension is built.
+KERNELS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(),
+            reason="compiled kernel repro.bfs._kernel not built",
+        ),
+    ),
+]
 
 
 class TestResolveClaims:
@@ -145,12 +158,25 @@ class TestDelayedBFSBasics:
         res = delayed_multisource_bfs(g, rng.random(64) * 6)
         assert res.work <= g.num_arcs + g.num_vertices
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_single_vertex(self, kernel):
+        g = from_edges(1, np.zeros((0, 2), dtype=np.int64))
+        res = delayed_multisource_bfs(g, np.asarray([3.25]), kernel=kernel)
+        assert res.center.tolist() == [0]
+        assert res.round_claimed.tolist() == [3]
+        assert res.hops.tolist() == [0]
+        assert (res.num_rounds, res.active_rounds, res.work) == (1, 1, 1)
+        assert res.frontier_sizes == [1]
+
     def test_input_validation(self):
         g = path_graph(3)
         with pytest.raises(ParameterError):
             delayed_multisource_bfs(g, np.zeros(2))
         with pytest.raises(ParameterError):
             delayed_multisource_bfs(g, np.asarray([-1.0, 0.0, 0.0]))
+        # Floors at or above 2**62 would overflow the int64 round counter.
+        with pytest.raises(ParameterError):
+            delayed_multisource_bfs(g, np.asarray([2.0**62, 0.0, 0.0]))
         with pytest.raises(ParameterError):
             delayed_multisource_bfs(g, np.zeros(3), tie_key=np.zeros(2))
 
@@ -194,7 +220,7 @@ class TestCenterMaskAndCap:
         assert np.all(res.hops[4:] == -1)
         assert np.all(res.round_claimed[4:] == -1)
 
-    @pytest.mark.parametrize("kernel", ["python", "auto"])
+    @pytest.mark.parametrize("kernel", [*KERNELS, "auto"])
     def test_cap_below_first_wake_reports_zero_rounds(self, kernel):
         """Regression: `max_round` below the earliest wake used to report
         num_rounds=1 even though the round loop never executed."""

@@ -23,7 +23,9 @@ from repro.bfs.delayed import delayed_multisource_bfs, resolve_claims
 from repro.bfs.kernels import native_available
 from repro.core.engine import decompose, decompose_many
 from repro.core.registry import method_names
+from repro.core.shifts import sample_shifts
 from repro.core.weighted import WeightedDecomposition
+from repro.graphs.build import from_edges
 from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi,
@@ -174,26 +176,98 @@ def test_kernels_conform_across_methods(method, seed):
         )
 
 
+def _bfs_inputs(case):
+    """Yield ``(label, graph, start, kwargs)`` for one restricted mode or
+    schedule edge case of the BFS."""
+    if case in ("center_mask", "max_round", "both"):
+        for name, graph in FAMILIES.items():
+            n = graph.num_vertices
+            rng = np.random.default_rng(n)
+            start = rng.random(n) * 5
+            kwargs = {}
+            if case in ("center_mask", "both"):
+                mask = rng.random(n) < 0.25
+                mask[int(rng.integers(n))] = True
+                kwargs["center_mask"] = mask
+            if case in ("max_round", "both"):
+                kwargs["max_round"] = 3
+            yield name, graph, start, kwargs
+        return
+    rng = np.random.default_rng(sum(map(ord, case)))
+    grid = grid_2d(30, 30)
+    n = grid.num_vertices
+    if case == "sparse_center_mask":
+        mask = rng.random(n) < 0.02
+        mask[0] = True
+        yield case, grid, rng.random(n) * 8, {"center_mask": mask}
+    elif case == "cap_below_first_wake":
+        yield case, grid, 10 + rng.random(n), {"max_round": 9}
+    elif case == "cap_mid_run":
+        yield case, grid, rng.random(n) * 400, {"max_round": 8}
+    elif case == "idle_gaps":
+        # Three wake waves far apart on a sparse graph whose components
+        # finish growing long before the next wave: the rounds in between
+        # are idle and must be skipped, not run.
+        graph = erdos_renyi(300, 0.004, seed=5)
+        wave = rng.integers(0, 3, 300) * 1000.0
+        yield case, graph, wave + rng.random(300) * 3, {}
+    elif case == "disconnected":
+        edges = np.asarray([(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)])
+        graph = from_edges(9, edges)
+        yield case, graph, rng.random(9) * 4, {}
+        yield case + "+mask", graph, rng.random(9) * 4, {
+            "center_mask": np.arange(9) < 4,
+        }
+    elif case == "all_equal_keys":
+        # Integer starts make every fractional tie key 0, and an explicit
+        # constant key does the same: the center-id rule decides.
+        yield case, grid, rng.integers(0, 6, n).astype(float), {}
+        yield case + "+explicit", grid, rng.random(n) * 6, {
+            "tie_key": np.full(n, 0.5),
+        }
+    elif case == "over_65536_rounds":
+        # beta small enough that the wake schedule spans > 65 536 rounds
+        # (~86k here, within the native counting sort's range), then a
+        # schedule far sparser than the vertex count (its fallback sort).
+        graph = grid_2d(150, 150)
+        shifts = sample_shifts(graph.num_vertices, 1.2e-4, seed=3)
+        floor = np.floor(shifts.start_time)
+        assert floor.max() - floor.min() > 65_536
+        yield case, graph, shifts.start_time, {"tie_key": shifts.tie_key}
+        yield case + "+sparse", path_graph(40), rng.random(40) * 1e9, {}
+    elif case == "single_vertex":
+        single = from_edges(1, np.zeros((0, 2), dtype=np.int64))
+        yield case, single, np.asarray([0.7]), {}
+    else:  # pragma: no cover - a typo in the parametrisation
+        raise AssertionError(case)
+
+
 @needs_native
-@pytest.mark.parametrize("restriction", ["center_mask", "max_round", "both"])
-def test_kernels_conform_under_mask_and_cap(restriction):
-    """The restricted BFS modes (batched centers, radius-capped growth) take
-    different branches in both kernels; every result field must still match,
-    including the -1 unowned convention."""
-    for name, graph in FAMILIES.items():
-        n = graph.num_vertices
-        rng = np.random.default_rng(n)
-        start = rng.random(n) * 5
-        kwargs = {}
-        if restriction in ("center_mask", "both"):
-            mask = rng.random(n) < 0.25
-            mask[int(rng.integers(n))] = True
-            kwargs["center_mask"] = mask
-        if restriction in ("max_round", "both"):
-            kwargs["max_round"] = 3
+@pytest.mark.parametrize(
+    "case",
+    [
+        "center_mask",
+        "max_round",
+        "both",
+        "sparse_center_mask",
+        "cap_below_first_wake",
+        "cap_mid_run",
+        "idle_gaps",
+        "disconnected",
+        "all_equal_keys",
+        "over_65536_rounds",
+        "single_vertex",
+    ],
+)
+def test_kernels_conform_under_mask_and_cap(case):
+    """The restricted BFS modes (batched centers, radius-capped growth) and
+    the wake-schedule edge cases take different branches in both kernels;
+    every result field must still match, including the -1 unowned
+    convention."""
+    for label, graph, start, kwargs in _bfs_inputs(case):
         python = delayed_multisource_bfs(graph, start, kernel="python", **kwargs)
         native = delayed_multisource_bfs(graph, start, kernel="native", **kwargs)
-        context = f"family={name} restriction={restriction}"
+        context = f"case={case} input={label}"
         np.testing.assert_array_equal(python.center, native.center, context)
         np.testing.assert_array_equal(
             python.round_claimed, native.round_claimed, context

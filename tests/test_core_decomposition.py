@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.bfs.delayed import delayed_multisource_bfs
 from repro.errors import GraphError
 from repro.core.decomposition import Decomposition, PartitionTrace
+from repro.graphs.build import from_edges
 from repro.graphs.generators import grid_2d, path_graph
+from repro.graphs.ops import count_cut_edges, cut_edge_mask
+from tests.conftest import random_graphs
 
 
 def make_manual_decomposition():
@@ -106,6 +112,69 @@ class TestStatistics:
         )
         assert d.num_pieces == 1
         assert d.cut_fraction() == 0.0
+
+
+def _sorting_summary(d: Decomposition) -> dict[str, float]:
+    """``summary()`` as computed before it went sort-free: distinct centers
+    by ``np.unique`` and cut edges over the canonical ``edge_array()``."""
+    centers = np.unique(d.center)
+    lookup = np.full(d.graph.num_vertices, -1, dtype=np.int64)
+    lookup[centers] = np.arange(centers.size)
+    labels = lookup[d.center]
+    sizes = np.bincount(labels, minlength=centers.size)
+    radii = np.zeros(centers.size, dtype=np.int64)
+    np.maximum.at(radii, labels, d.hops)
+    edges = d.graph.edge_array()
+    cut = int((labels[edges[:, 0]] != labels[edges[:, 1]]).sum())
+    m = d.graph.num_edges
+    return {
+        "num_pieces": float(centers.size),
+        "max_piece_size": float(sizes.max()) if sizes.size else 0.0,
+        "mean_piece_size": float(sizes.mean()) if sizes.size else 0.0,
+        "max_radius": float(radii.max()) if radii.size else 0.0,
+        "mean_radius": float(radii.mean()) if radii.size else 0.0,
+        "num_cut_edges": float(cut),
+        "cut_fraction": float(cut / m if m else 0.0),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    graph=random_graphs(min_vertices=1, max_vertices=30),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 8),
+)
+@example(graph=from_edges(1, np.zeros((0, 2))), seed=0, spread=3)
+@example(graph=from_edges(5, np.zeros((0, 2))), seed=1, spread=2)
+@example(graph=from_edges(6, np.asarray([[0, 1], [1, 2]])), seed=2, spread=4)
+def test_summary_equals_sorting_reference(graph, seed, spread):
+    """Random graphs (isolated vertices, m = 0 and n = 1 included): the
+    sort-free ``summary()`` equals the ``np.unique``/``edge_array`` one,
+    and the arc-halving cut count equals the ``edge_array`` mask count."""
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    bfs = delayed_multisource_bfs(graph, rng.random(n) * spread)
+    d = Decomposition(graph=graph, center=bfs.center, hops=bfs.hops)
+    assert d.summary() == _sorting_summary(d)
+    np.testing.assert_array_equal(d.centers, np.unique(d.center))
+    for labels in (d.labels, rng.integers(0, 3, n)):
+        expected = cut_edge_mask(graph, labels).sum()
+        assert count_cut_edges(graph, labels) == expected
+
+
+@pytest.mark.parametrize("shape", ["grid", "star"])
+def test_count_cut_edges_across_blocks(shape):
+    """Graphs spanning several arc blocks, including one row longer than a
+    block, count the same as the ``edge_array`` mask."""
+    if shape == "grid":
+        graph = grid_2d(200, 200)
+    else:
+        leaves = np.arange(1, 70_001)
+        graph = from_edges(
+            70_001, np.stack([np.zeros_like(leaves), leaves], axis=1)
+        )
+    labels = np.random.default_rng(5).integers(0, 4, graph.num_vertices)
+    assert count_cut_edges(graph, labels) == cut_edge_mask(graph, labels).sum()
 
 
 class TestPartitionTrace:

@@ -22,6 +22,7 @@ from repro.bfs.kernels import (
     use_kernel,
 )
 from repro.errors import ParameterError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, grid_2d
 
 needs_native = pytest.mark.skipif(
@@ -196,6 +197,68 @@ class TestNativeValidation:
                 scratch.touched,
                 scratch.winners,
                 scratch.owners,
+            )
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("corrupt_indptr", "corrupt CSR offsets"),
+            ("arc_target_out_of_range", "arc target out of range"),
+        ],
+    )
+    def test_bfs_rejects_corrupt_csr_and_buffers_stay_reusable(
+        self, fault, message
+    ):
+        """A graph built with validate=False can carry garbage; the one-call
+        BFS must raise ValueError, and the caller's output buffers must give
+        the right answer when reused on a sound graph."""
+        good = grid_2d(3, 3)
+        indptr = good.indptr.copy()
+        indices = good.indices.copy()
+        if fault == "corrupt_indptr":
+            indptr[4] = indices.size + 5
+        else:
+            indices[7] = 99
+        bad = CSRGraph(indptr, indices, validate=False)
+        start = np.zeros(9)  # every vertex wakes in round 0, arcs in round 1
+        with pytest.raises(ValueError, match=message):
+            delayed_multisource_bfs(bad, start, kernel="native")
+
+        floor = np.zeros(9, dtype=np.int64)
+        buffers = (
+            np.full(9, 7, dtype=np.int64),  # center
+            np.full(9, 7, dtype=np.int64),  # round_claimed
+            np.full(9, 7, dtype=np.int64),  # hops
+            np.zeros(9, dtype=np.int64),  # frontier_sizes
+            np.zeros(2),  # phase seconds
+        )
+        native = kernels.native_module()
+        with pytest.raises(ValueError, match=message):
+            native.delayed_bfs(
+                bad.indptr, bad.indices, floor, start, None, 100, *buffers
+            )
+        start = np.linspace(0.0, 2.5, 9)
+        floor = np.floor(start).astype(np.int64)
+        rounds, active, work = native.delayed_bfs(
+            good.indptr, good.indices, floor, start - floor, None, 100,
+            *buffers,
+        )
+        expected = delayed_multisource_bfs(good, start, kernel="python")
+        np.testing.assert_array_equal(buffers[0], expected.center)
+        np.testing.assert_array_equal(buffers[1], expected.round_claimed)
+        np.testing.assert_array_equal(buffers[2], expected.hops)
+        assert buffers[3][:active].tolist() == expected.frontier_sizes
+        assert (rounds, active, work) == (
+            expected.num_rounds, expected.active_rounds, expected.work
+        )
+
+    def test_bfs_rejects_inconsistent_lengths(self):
+        g = grid_2d(2, 2)
+        out = [np.zeros(4, dtype=np.int64) for _ in range(4)]
+        with pytest.raises(ValueError, match="inconsistent"):
+            kernels.native_module().delayed_bfs(
+                g.indptr, g.indices, np.zeros(3, dtype=np.int64),
+                np.zeros(4), None, 10, *out, None,
             )
 
 
